@@ -49,7 +49,7 @@ ORDER_CHAINS: Dict[str, Tuple[str, ...]] = {
 #: releasing the audit lock.)
 LEAF_DOMAINS: Set[str] = {
     "clock", "audit", "tracer", "simnet", "agent",
-    "ias_pool", "ias_batch", "kernel_pool", "ec_stats",
+    "ias_pool", "ec_stats",
     "kms_shard", "kms_ns", "keystore_entries", "rng",
     "ec_curves",
     "ratls", "fabric", "fabric_log", "fabric_keystore",
@@ -94,7 +94,7 @@ OUTER_DOMAINS: Set[str] = {"host", "keystore"}
 NON_REENTRANT_DOMAINS: Set[str] = {
     "clock", "audit", "ec_stats", "host", "keystore", "cache",
     "kms_shard", "kms_ns", "keystore_entries", "rng",
-    "ratls", "ias_batch", "kernel_pool",
+    "ratls",
     "fabric", "fabric_log", "fabric_keystore",
 }
 
@@ -127,8 +127,6 @@ LOCK_SITES: Dict[Tuple[str, Optional[str], str], str] = {
     ("crypto/rng.py", None, "_lock"): "rng",
     ("crypto/rng.py", None, "_default_lock"): "rng",
     ("core/fleet.py", None, "_pool_lock"): "ias_pool",
-    ("core/fleet.py", None, "_batch_lock"): "ias_batch",
-    ("core/kernels.py", None, "_lock"): "kernel_pool",
     ("core/fleet.py", None, "_keystore_lock"): "keystore",
     ("core/fleet.py", None, "_host_locks"): "host",
     ("obs/registry.py", "MetricsRegistry", "_lock"): "registry",
@@ -161,7 +159,6 @@ ATTR_HINTS: Dict[str, str] = {
     "_audit": "audit", "audit": "audit",
     "_tracer": "tracer", "tracer": "tracer",
     "stats": "ec_stats",
-    "_kernel_pool": "kernel_pool",
     "_shards": "kms_shard",
     "_namespaces": "kms_ns",
 }

@@ -284,9 +284,9 @@ def make_rlock(domain: str):
 def _install_fork_hook() -> None:
     """Reset sanitizer state in forked children.
 
-    ``KernelPool`` forks worker processes (sometimes while locks are
-    held — that is what ``tests/concurrency/test_fork_safety.py``
-    stresses).  A child must not inherit a held ``_STATE_LOCK`` or an
+    Nothing in ``src/`` forks (lint rule HYG005), but a test harness or
+    an embedding program may, and a fork can land while another thread
+    holds a lock.  A child must not inherit a held ``_STATE_LOCK`` or an
     active sanitizer: detection is meaningless there and a poisoned
     state lock would hang the first tracked operation.
     """

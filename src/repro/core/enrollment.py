@@ -49,6 +49,38 @@ class StepTiming:
     wall_seconds: float
 
 
+def timed_step(session, step: str, vnf_name: str,
+               fn: Callable[[], object]) -> object:
+    """Run one step of ``session`` and record it.
+
+    Opens a ``step`` span (when the session has telemetry), marks the
+    session failed if ``fn`` raises, and on success appends a
+    :class:`StepTiming` to ``session.timings`` and observes the
+    ``vnf_sgx_workflow_step_seconds{step=...}`` histogram.  Shared by
+    :class:`EnrollmentSession` and
+    :class:`~repro.core.ratls_enrollment.RatlsEnrollmentSession`.
+    """
+    tel = session.telemetry
+    sim_start = session.sim_now()
+    wall_start = time.perf_counter()
+    try:
+        with (tel.span(step, vnf=vnf_name) if tel is not None
+              else nullcontext()):
+            result = fn()
+    except Exception:
+        session.state = STATE_FAILED
+        raise
+    simulated = session.sim_now() - sim_start
+    session.timings.append(StepTiming(
+        step=step,
+        simulated_seconds=simulated,
+        wall_seconds=time.perf_counter() - wall_start,
+    ))
+    if tel is not None:
+        tel.workflow_step_seconds.labels(step=step).observe(simulated)
+    return result
+
+
 @dataclass
 class EnrollmentSession:
     """Drives one VNF from untrusted to enrolled.
@@ -102,25 +134,8 @@ class EnrollmentSession:
         )
 
     def _timed(self, step: str, fn: Callable[[], object]) -> object:
-        tel = self.telemetry
-        sim_start = self.sim_now()
-        wall_start = time.perf_counter()
-        try:
-            with (tel.span(step, vnf=self.vnf_name) if tel is not None
-                  else nullcontext()):
-                result = self._attempt(step, fn)
-        except Exception:
-            self.state = STATE_FAILED
-            raise
-        simulated = self.sim_now() - sim_start
-        self.timings.append(StepTiming(
-            step=step,
-            simulated_seconds=simulated,
-            wall_seconds=time.perf_counter() - wall_start,
-        ))
-        if tel is not None:
-            tel.workflow_step_seconds.labels(step=step).observe(simulated)
-        return result
+        return timed_step(self, step, self.vnf_name,
+                          lambda: self._attempt(step, fn))
 
     # ----------------------------------------------------------- the steps
 

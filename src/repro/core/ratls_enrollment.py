@@ -18,19 +18,17 @@ round trips at fleet scale.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.core.credential_enclave import CredentialEnclave
-from repro.core.enrollment import StepTiming
+from repro.core.enrollment import StepTiming, timed_step
 from repro.errors import EnrollmentError
 
 STATE_INIT = "init"
 STATE_PREPARED = "ratls-prepared"
 STATE_ENROLLED = "enrolled"
-STATE_FAILED = "failed"
+STATE_FAILED = "failed"  # set by timed_step when a step raises
 
 #: Default validity of a self-signed RA-TLS certificate, in simulated
 #: seconds.  Shorter-lived than CA credentials is fine: renewal is a
@@ -66,27 +64,6 @@ class RatlsEnrollmentSession:
     state: str = STATE_INIT
     timings: List[StepTiming] = field(default_factory=list)
 
-    def _timed(self, step: str, fn: Callable[[], object]) -> object:
-        tel = self.telemetry
-        sim_start = self.sim_now()
-        wall_start = time.perf_counter()
-        try:
-            with (tel.span(step, vnf=self.enclave.vnf_name)
-                  if tel is not None else nullcontext()):
-                result = fn()
-        except Exception:
-            self.state = STATE_FAILED
-            raise
-        simulated = self.sim_now() - sim_start
-        self.timings.append(StepTiming(
-            step=step,
-            simulated_seconds=simulated,
-            wall_seconds=time.perf_counter() - wall_start,
-        ))
-        if tel is not None:
-            tel.workflow_step_seconds.labels(step=step).observe(simulated)
-        return result
-
     # ----------------------------------------------------------- the steps
 
     def prepare(self) -> str:
@@ -107,8 +84,8 @@ class RatlsEnrollmentSession:
             )
             return subject
 
-        subject = self._timed("ratls-credential-preparation",
-                              build_credential)
+        subject = timed_step(self, "ratls-credential-preparation",
+                             self.enclave.vnf_name, build_credential)
         self.state = STATE_PREPARED
         return subject
 
@@ -118,7 +95,8 @@ class RatlsEnrollmentSession:
         authenticated controller call."""
         if self.state != STATE_PREPARED:
             raise EnrollmentError(f"connect in state {self.state}")
-        summary = self._timed("ratls-attested-connect", client.summary)
+        summary = timed_step(self, "ratls-attested-connect",
+                             self.enclave.vnf_name, client.summary)
         self.state = STATE_ENROLLED
         return summary
 

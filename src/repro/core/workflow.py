@@ -407,8 +407,7 @@ class Deployment:
     # ---------------------------------------------------------- key manager
 
     def build_kms(self, shard_count: int = 4, seed: bytes = b"kms-service",
-                  serve: bool = True, address: Address = KMS_ADDRESS,
-                  seal_workers: int = 0):
+                  serve: bool = True, address: Address = KMS_ADDRESS):
         """Attach a :class:`repro.kms.KeyManagerService` to this deployment.
 
         The service hangs off the Verification Manager's CA (tenant
@@ -417,15 +416,12 @@ class Deployment:
         from its *own* DRBG stream — attaching a KMS does not perturb the
         deployment's enrollment transcripts.  With ``serve=True`` the
         REST endpoint listens at ``address`` on the simulated network.
-        ``seal_workers > 0`` runs the sealing AEAD in a shared
-        :class:`~repro.core.kernels.KernelPool` (blob bytes unchanged —
-        the E13 wall-clock axis).
         """
         from repro.kms import KeyManagerService, KmsEndpoint
 
         self.kms = KeyManagerService(
             self.vm.ca, self.clock, seed=seed, shard_count=shard_count,
-            keystore=self.keystore, seal_workers=seal_workers,
+            keystore=self.keystore,
         )
         if serve:
             self.kms_endpoint = KmsEndpoint(self.kms, self.network, address)
@@ -635,9 +631,7 @@ class Deployment:
     def enroll_fleet(self, vnf_names: Optional[List[str]] = None,
                      workers: int = 4,
                      retry_policy: Optional[RetryPolicy] = None,
-                     pooled_ias: bool = True,
-                     processes: int = 0,
-                     ias_batch_window: float = 0.002):
+                     pooled_ias: bool = True):
         """Enroll many VNFs across a bounded worker pool.
 
         The pooled path amortizes what the serial loop repeats per VNF:
@@ -647,13 +641,6 @@ class Deployment:
         per-VNF DRBGs, so the issued certificates are byte-identical to
         a serial :meth:`enroll` loop's (experiment E12 asserts this).
 
-        ``processes > 0`` additionally dispatches the CPU-bound kernels
-        (EPID quote verification, certificate signing) to a
-        :class:`~repro.core.kernels.KernelPool` of worker processes and
-        batches concurrent IAS verifications into single wire exchanges
-        (window ``ias_batch_window`` simulated seconds) — the
-        multi-core axis of E12.  Certificates stay byte-identical.
-
         Returns a :class:`repro.core.fleet.FleetReport` with
         partial-failure semantics mirroring :meth:`run_workflow`.
         """
@@ -661,8 +648,7 @@ class Deployment:
 
         scheduler = FleetScheduler(
             self, workers=workers, retry_policy=retry_policy,
-            pooled_ias=pooled_ias, processes=processes,
-            ias_batch_window=ias_batch_window,
+            pooled_ias=pooled_ias,
         )
         return scheduler.enroll(vnf_names)
 

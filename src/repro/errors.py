@@ -170,14 +170,6 @@ class IasError(ReproError):
     """Root for Intel-Attestation-Service failures."""
 
 
-class PlatformRevoked(IasError):
-    """The platform's EPID key is on a revocation list."""
-
-
-class QuoteRejected(IasError):
-    """IAS could not verify the quote signature."""
-
-
 class IasUnavailable(IasError):
     """IAS answered with a transient 5xx/429 — retryable, unlike a verdict."""
 
@@ -214,10 +206,6 @@ class ContainerStateError(ContainerError):
 
 class SdnError(ReproError):
     """Root for SDN-substrate failures."""
-
-
-class AuthenticationFailed(SdnError):
-    """Northbound API rejected the caller's credentials."""
 
 
 class ControllerUnavailable(SdnError):

@@ -7,14 +7,14 @@ maintains both revocation lists, and signs verdicts with its report key.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.keys import EcPrivateKey, EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg, default_rng
-from repro.errors import IasError, QuoteError, ReproError
+from repro.errors import IasError, ReproError
 from repro.ias.report import AttestationVerificationReport, sign_report
 from repro.ias.revocation_lists import PrivRl, SigRl
-from repro.sgx.epid import EpidGroup
+from repro.sgx.epid import EpidGroup, EpidSignature, pseudonym
 from repro.sgx.platform import SgxPlatform
 from repro.sgx.quote import Quote
 
@@ -28,6 +28,100 @@ class QuoteStatus:
     SIGNATURE_REVOKED = "SIGNATURE_REVOKED"
     GROUP_REVOKED = "GROUP_REVOKED"
     GROUP_OUT_OF_DATE = "GROUP_OUT_OF_DATE"
+
+
+class LinearRevocationIndex:
+    """Revocation checks for one verification, at full-list cost.
+
+    Each check walks its whole list (the PrivRL re-derives every revoked
+    key's pseudonym), so the modelled cost of a check is the list size.
+    """
+
+    def __init__(self, group: EpidGroup, priv_rl: PrivRl,
+                 sig_rl: SigRl) -> None:
+        self._group = group
+        self._priv_rl = priv_rl
+        self._sig_rl = sig_rl
+
+    def key_revoked(self, signature: EpidSignature) -> Tuple[bool, int]:
+        """``(revoked, entries scanned)`` against the PrivRL."""
+        hit = self._priv_rl.matches(signature,
+                                    self._group.derive_member_secret)
+        return hit is not None, len(self._priv_rl)
+
+    def signature_revoked(self,
+                          signature: EpidSignature) -> Tuple[bool, int]:
+        """``(revoked, entries scanned)`` against the SigRL."""
+        return self._sig_rl.matches(signature), len(self._sig_rl)
+
+
+class BatchedRevocationIndex:
+    """Revocation checks amortized over one batch.
+
+    The SigRL scan is ``(basename, pseudonym)`` equality, so one set
+    covers every quote in the batch; the PrivRL scan re-derives each
+    revoked key's pseudonym *per basename*, so one table per distinct
+    basename covers the batch (deployments pin one basename, so in
+    practice that is one table).  Each check is then one hash probe
+    (cost 1), and building the tables costs ``build_scans`` entries:
+    O(|RL| + B) for the batch instead of the sequential O(B x |RL|).
+    """
+
+    def __init__(self, group: EpidGroup, priv_rl: PrivRl,
+                 sig_rl: SigRl) -> None:
+        self._group = group
+        self._priv_rl = priv_rl
+        self._sig_entries = set(sig_rl.entries)
+        self._priv_tables: Dict[bytes, Set[bytes]] = {}
+        self.build_scans = len(sig_rl)
+
+    def key_revoked(self, signature: EpidSignature) -> Tuple[bool, int]:
+        """``(revoked, 1)``; builds the basename's table on first use."""
+        table = self._priv_tables.get(signature.basename)
+        if table is None:
+            table = {
+                pseudonym(self._group.derive_member_secret(member_id),
+                          signature.basename)
+                for member_id in self._priv_rl.revoked_member_ids
+            }
+            self._priv_tables[signature.basename] = table
+            self.build_scans += len(self._priv_rl)
+        return signature.pseudonym in table, 1
+
+    def signature_revoked(self,
+                          signature: EpidSignature) -> Tuple[bool, int]:
+        """``(revoked, 1)``."""
+        entry = (signature.basename, signature.pseudonym)
+        return entry in self._sig_entries, 1
+
+
+def quote_status(quote: Quote, group: EpidGroup, index,
+                 group_revoked: bool, min_qe_svn: int) -> Tuple[str, int]:
+    """The verdict for one quote, and the revocation entries scanned.
+
+    The order of checks mirrors real IAS: group status, signature
+    validity, key revocation, signature revocation, TCB level.
+    ``index`` is a :class:`LinearRevocationIndex` or a
+    :class:`BatchedRevocationIndex`; both give the same verdicts and
+    differ only in the modelled scan cost.
+    """
+    if group_revoked:
+        return QuoteStatus.GROUP_REVOKED, 0
+    try:
+        signature = quote.signature()
+        group.verify(signature, quote.body_bytes())
+    except ReproError:
+        return QuoteStatus.SIGNATURE_INVALID, 0
+    revoked, scanned = index.key_revoked(signature)
+    if revoked:
+        return QuoteStatus.KEY_REVOKED, scanned
+    revoked, cost = index.signature_revoked(signature)
+    scanned += cost
+    if revoked:
+        return QuoteStatus.SIGNATURE_REVOKED, scanned
+    if quote.qe_svn < min_qe_svn:
+        return QuoteStatus.GROUP_OUT_OF_DATE, scanned
+    return QuoteStatus.OK, scanned
 
 
 class IasService:
@@ -61,16 +155,6 @@ class IasService:
         # sequential verifies pay O(|RL|) each, a batch pays O(|RL| + B).
         self.rl_entries_scanned = 0
         self._telemetry = None  # set by instrument()
-        self._kernel_pool = None  # set by attach_kernel_pool()
-
-    def attach_kernel_pool(self, pool) -> None:
-        """Dispatch verification math to a
-        :class:`repro.core.kernels.KernelPool` (``None`` detaches).
-
-        Report ids and AVR timestamps stay in-process (assigned in
-        submission order before dispatch), so pooled verdicts are
-        byte-identical to the inline path."""
-        self._kernel_pool = pool
 
     def instrument(self, telemetry) -> None:
         """Attach telemetry: every verdict increments
@@ -125,56 +209,15 @@ class IasService:
 
     # ---------------------------------------------------------- verification
 
-    def verification_snapshot(self) -> bytes:
-        """The current verification state as one kernel-shippable blob.
-
-        Built fresh per call: the revocation lists mutate in place, so a
-        cached snapshot would verify against stale RLs.
-        """
-        # Runtime import: repro.core's package __init__ imports modules
-        # that import this one, so a module-level import would cycle.
-        from repro.core.kernels import encode_verification_snapshot
-        return encode_verification_snapshot(
-            self.group.group_id, self.group.export_secret(),
-            self.priv_rl.to_bytes(), self.sig_rl.to_bytes(),
-            self.group_revoked, self.min_qe_svn,
-        )
-
     def verify_quote(self, quote_bytes: bytes,
                      nonce: str = "") -> AttestationVerificationReport:
         """Verify a quote and return the signed verdict.
 
-        The order of checks mirrors real IAS: group status, signature
-        validity, key revocation, signature revocation.
+        Raises:
+            QuoteError: ``quote_bytes`` is not a well-formed quote.
         """
-        self.quotes_verified += 1
-        quote = Quote.from_bytes(quote_bytes)
-        pool = self._kernel_pool
-        if pool is None:
-            status = self._status_for(quote)
-            if self._telemetry is not None:
-                self._telemetry.ias_verdicts.labels(status=status).inc()
-            self._report_counter += 1
-            return sign_report(
-                self._report_key,
-                report_id=f"avr-{self._report_counter:08d}",
-                timestamp=int(self._now()),
-                quote_status=status,
-                quote_body_hex=quote.body_bytes().hex(),
-                nonce=nonce,
-            )
-        # Pooled path: assign the order-sensitive pieces (report id,
-        # timestamp) here, ship the math to a worker.
-        self._report_counter += 1
-        report_id = f"avr-{self._report_counter:08d}"
-        avr_bytes, status, scanned = pool.verify_quote(
-            quote_bytes, nonce, self.verification_snapshot(),
-            self._report_key.to_bytes(), report_id, int(self._now()),
-        )
-        self.rl_entries_scanned += scanned
-        if self._telemetry is not None:
-            self._telemetry.ias_verdicts.labels(status=status).inc()
-        return AttestationVerificationReport.from_json(avr_bytes)
+        index = LinearRevocationIndex(self.group, self.priv_rl, self.sig_rl)
+        return self._verify(quote_bytes, nonce, index)
 
     def verify_quotes(self, batch: Sequence[Tuple[bytes, str]]
                       ) -> List[AttestationVerificationReport]:
@@ -188,48 +231,30 @@ class IasService:
         """
         if not batch:
             return []
-        items: List[Tuple[bytes, str, str, int]] = []
-        for quote_bytes, nonce in batch:
-            self.quotes_verified += 1
-            self._report_counter += 1
-            items.append((quote_bytes, nonce,
-                          f"avr-{self._report_counter:08d}",
-                          int(self._now())))
-        from repro.core.kernels import verify_quotes_kernel  # see above
-        snapshot = self.verification_snapshot()
-        key_bytes = self._report_key.to_bytes()
-        pool = self._kernel_pool
-        if pool is None:
-            results, scanned = verify_quotes_kernel(tuple(items), snapshot,
-                                                    key_bytes)
-        else:
-            results, scanned = pool.verify_quotes(items, snapshot, key_bytes)
-        self.rl_entries_scanned += scanned
-        reports: List[AttestationVerificationReport] = []
-        for avr_bytes, status in results:
-            if self._telemetry is not None:
-                self._telemetry.ias_verdicts.labels(status=status).inc()
-            reports.append(AttestationVerificationReport.from_json(avr_bytes))
+        index = BatchedRevocationIndex(self.group, self.priv_rl, self.sig_rl)
+        reports = [self._verify(quote_bytes, nonce, index)
+                   for quote_bytes, nonce in batch]
+        self.rl_entries_scanned += index.build_scans
         return reports
 
-    def _status_for(self, quote: Quote) -> str:
-        if self.group_revoked:
-            return QuoteStatus.GROUP_REVOKED
-        try:
-            signature = quote.signature()
-            self.group.verify(signature, quote.body_bytes())
-        except (QuoteError, ReproError):
-            return QuoteStatus.SIGNATURE_INVALID
-        self.rl_entries_scanned += len(self.priv_rl)
-        if self.priv_rl.matches(signature,
-                                self.group.derive_member_secret) is not None:
-            return QuoteStatus.KEY_REVOKED
-        self.rl_entries_scanned += len(self.sig_rl)
-        if self.sig_rl.matches(signature):
-            return QuoteStatus.SIGNATURE_REVOKED
-        if quote.qe_svn < self.min_qe_svn:
-            return QuoteStatus.GROUP_OUT_OF_DATE
-        return QuoteStatus.OK
+    def _verify(self, quote_bytes: bytes, nonce: str,
+                index) -> AttestationVerificationReport:
+        self.quotes_verified += 1
+        quote = Quote.from_bytes(quote_bytes)
+        status, scanned = quote_status(quote, self.group, index,
+                                       self.group_revoked, self.min_qe_svn)
+        self.rl_entries_scanned += scanned
+        if self._telemetry is not None:
+            self._telemetry.ias_verdicts.labels(status=status).inc()
+        self._report_counter += 1
+        return sign_report(
+            self._report_key,
+            report_id=f"avr-{self._report_counter:08d}",
+            timestamp=int(self._now()),
+            quote_status=status,
+            quote_body_hex=quote.body_bytes().hex(),
+            nonce=nonce,
+        )
 
     def raise_tcb_floor(self, min_qe_svn: int) -> None:
         """TCB recovery: demand a quoting-enclave SVN of at least

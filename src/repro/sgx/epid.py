@@ -28,7 +28,7 @@ from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
 from repro.crypto.hmac import hmac_sha256
 from repro.crypto.rng import HmacDrbg, default_rng
-from repro.errors import CryptoError, InvalidTag, QuoteError
+from repro.errors import CryptoError, EncodingError, InvalidTag, QuoteError
 from repro.pki import der
 
 
@@ -61,11 +61,19 @@ class EpidSignature:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EpidSignature":
-        """Parse a serialized signature."""
-        group_id, basename, pseudonym, sealed_member, nonce, tag = (
-            der.decode(data)
-        )
-        return cls(group_id, basename, pseudonym, sealed_member, nonce, tag)
+        """Parse a serialized signature.
+
+        Raises:
+            QuoteError: ``data`` is not a well-formed signature.
+        """
+        try:
+            fields = der.decode(data)
+        except EncodingError as exc:
+            raise QuoteError(f"malformed EPID signature: {exc}") from exc
+        if (not isinstance(fields, list) or len(fields) != 6
+                or any(type(value) is not bytes for value in fields)):
+            raise QuoteError("malformed EPID signature: wrong field layout")
+        return cls(*fields)
 
 
 class EpidGroup:
@@ -129,12 +137,6 @@ class EpidGroup:
     def sealing_key(self) -> bytes:
         """The member-id sealing key (needed by signers)."""
         return self._sealing_key
-
-    def export_secret(self) -> bytes:
-        """The group manager secret, for snapshotting verification state
-        into a process-pool kernel (manager-internal — a snapshot grants
-        full verification *and* issuance power for the group)."""
-        return self._master
 
 
 def pseudonym(member_secret: bytes, basename: bytes) -> bytes:

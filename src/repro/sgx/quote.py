@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.crypto.keys import EcPrivateKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
-from repro.errors import QuoteError
+from repro.errors import EncodingError, QuoteError
 from repro.pki import der
 from repro.sgx.epid import EpidMemberKey, EpidSignature, epid_sign
 from repro.sgx.report import Report
@@ -67,15 +67,28 @@ class Quote:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Quote":
-        """Parse a serialized quote."""
-        (mrenclave, mrsigner, isv_prod_id, isv_svn, report_data, qe_svn,
-         basename, attributes, epid_signature) = der.decode(data)
-        return cls(mrenclave, mrsigner, isv_prod_id, isv_svn, report_data,
-                   qe_svn, basename, attributes, epid_signature)
+        """Parse a serialized quote.
+
+        Raises:
+            QuoteError: ``data`` is not a well-formed quote.
+        """
+        try:
+            fields = der.decode(data)
+        except EncodingError as exc:
+            raise QuoteError(f"malformed quote: {exc}") from exc
+        if (not isinstance(fields, list) or len(fields) != len(_FIELD_TYPES)
+                or any(type(value) is not kind
+                       for value, kind in zip(fields, _FIELD_TYPES))):
+            raise QuoteError("malformed quote: wrong field layout")
+        return cls(*fields)
 
     def signature(self) -> EpidSignature:
         """The decoded EPID signature."""
         return EpidSignature.from_bytes(self.epid_signature)
+
+
+#: Field types of a serialized quote, in :meth:`Quote.to_bytes` order.
+_FIELD_TYPES = (bytes, bytes, int, int, bytes, int, bytes, int, bytes)
 
 
 class QeBehavior:

@@ -44,13 +44,14 @@ class TestSeededViolations:
         joined = "\n".join(f.message for f in hyg005)
         assert "import multiprocessing" in joined
         assert "ProcessPoolExecutor" in joined
-        assert "KernelPool" in joined
+        assert "in-process" in joined
 
-    def test_kernels_module_may_spawn_processes(self):
+    def test_no_module_is_exempt_from_process_pool_rule(self):
+        # core/kernels.py was once the sanctioned process-pool module;
+        # the exemption is gone, so the rule fires at that path too.
         findings = _bad(virtual_path="core/kernels.py")
-        assert not [f for f in findings if f.rule_id == "HYG005"]
-        # the other seeded violations still fire there
-        assert [f for f in findings if f.rule_id == "HYG001"]
+        assert {f.symbol for f in findings if f.rule_id == "HYG005"} == {
+            "rogue_process_pool", "rogue_executor_attribute"}
 
     def test_rng_module_may_seed_from_os(self):
         findings = analyze_fixture("hygiene_bad.py", "crypto/rng.py",

@@ -88,6 +88,20 @@ class TestStrict:
             [str(tmp_path / "base2"), str(tmp_path / "cur2"),
              "--strict"]) == 1
 
+    def test_e13_uses_the_global_threshold(self, bench_compare, tmp_path):
+        # E13's rows are simulated time (byte-deterministic per seed), so
+        # it carries no override: a 1.4x row fails at the default +25%.
+        assert "E13" not in bench_compare.TOLERANCES
+        _write_report(tmp_path / "base", "E13", 1.0)
+        _write_report(tmp_path / "cur", "E13", 1.2)
+        assert bench_compare.main(
+            [str(tmp_path / "base"), str(tmp_path / "cur"),
+             "--strict"]) == 0
+        _write_report(tmp_path / "cur", "E13", 1.4)
+        assert bench_compare.main(
+            [str(tmp_path / "base"), str(tmp_path / "cur"),
+             "--strict"]) == 1
+
     def test_malformed_input_exits_2(self, bench_compare, tmp_path):
         base = tmp_path / "base"
         base.mkdir()

@@ -221,28 +221,6 @@ def test_fleet_without_pooling_still_equivalent():
     assert certs == serial_certs
 
 
-def test_fleet_with_process_kernels_byte_identical():
-    """processes=N moves the verify/sign math to worker processes and
-    batches IAS exchanges — without changing a single issued byte."""
-    seed, count = b"fleet-processes", 4
-    order = [f"vnf-{i}" for i in range(1, count + 1)]
-    _, serial_certs = _serial_reference(seed, count, order)
-
-    dep = Deployment(seed=seed, vnf_count=count)
-    report = dep.enroll_fleet(order, workers=4, processes=2)
-    assert report.fully_succeeded, report.failed
-    assert report.processes == 2
-    assert report.kernel_dispatches + report.kernel_inline_calls > 0
-    certs = {name: dep.vm.issued_certificate(name).to_bytes()
-             for name in order}
-    assert certs == serial_certs
-    # The pool is scoped to the run: everything is detached afterwards.
-    assert dep.ias._kernel_pool is None
-
-    with pytest.raises(VnfSgxError, match="process"):
-        FleetScheduler(dep, processes=-1)
-
-
 def test_fleet_keystore_validation_model():
     """The stock-Floodlight keystore model works under the pool: every
     enrolled VNF lands in the keystore before its first connection."""

@@ -81,3 +81,38 @@ def test_sigrl_endpoint(wired, ias, quote):
 
     sigrl = SigRl.from_bytes(bytes.fromhex(response.body.decode()))
     assert len(sigrl) == 1
+
+
+def _post_report(wired, body: bytes):
+    network, http, _ = wired
+    from repro.net.rest import HttpParser, HttpRequest
+    from repro.tls import TlsClient, TlsConfig
+
+    tls_client = TlsClient(TlsConfig(
+        truststore=http.ias_truststore, now=network.clock.now_seconds,
+    ))
+    conn = tls_client.connect(network.connect("vm", http.address))
+    conn.send(HttpRequest("POST", "/attestation/v4/report",
+                          body=body).encode())
+    [response] = HttpParser(is_server_side=False).feed(
+        conn.recv_available())
+    return response
+
+
+@pytest.mark.parametrize("body", [
+    b'{"isvEnclaveQuote": "00000000000000000000000000000000"}',
+    b"[1]",
+    b"5",
+    b'{"isvEnclaveQuote": 5}',
+])
+def test_hostile_report_body_gets_400_without_exception_names(wired, body):
+    response = _post_report(wired, body)
+    assert response.status == 400
+    for name in (b"Error", b"Exception"):
+        assert name not in response.body
+
+
+def test_undecodable_quote_gets_fixed_400_body(wired):
+    response = _post_report(
+        wired, b'{"isvEnclaveQuote": "00000000000000000000000000000000"}')
+    assert response.body == b"bad request: undecodable quote"

@@ -1,10 +1,16 @@
 """The IAS core: verdicts, revocation order, AVR integrity."""
 
-import pytest
+import functools
 
-from repro.errors import IasError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import IasError, QuoteError
 from repro.ias.report import AttestationVerificationReport
 from repro.ias.service import QuoteStatus
+from repro.pki import der
+from repro.sgx.quote import Quote
 
 
 def test_good_quote_gets_ok(ias, quote):
@@ -144,3 +150,155 @@ def test_tcb_floor_blocks_enrollment_end_to_end():
         deployment.vm.attest_host(deployment.agent_client,
                                   deployment.host.name)
     assert "GROUP_OUT_OF_DATE" in str(excinfo.value)
+
+
+# --------------------------------------------------------------------------
+# One verdict, two revocation indexes: batched == sequential
+# --------------------------------------------------------------------------
+
+
+def _ias_world(seed):
+    """A fresh IAS with one registered platform and one quote from it."""
+    from repro.crypto.keys import generate_keypair
+    from repro.crypto.rng import HmacDrbg
+    from repro.ias.service import IasService
+    from repro.net.clock import VirtualClock
+    from repro.sgx.enclave import EnclaveImage
+    from repro.sgx.platform import SgxPlatform
+    from repro.sgx.report import Report
+    from repro.sgx.sigstruct import sign_image
+
+    from tests.ias.conftest import EchoBehavior
+
+    rng = HmacDrbg(seed)
+    clock = VirtualClock()
+    ias = IasService(rng=rng, now=clock.now_seconds)
+    platform = SgxPlatform("host", clock=clock, rng=rng)
+    ias.register_platform(platform)
+    image = EnclaveImage.from_behavior_class(EchoBehavior, "echo")
+    enclave = platform.create_enclave(
+        image, sign_image(generate_keypair(rng), image.code, "v"))
+    qe = platform.quoting_enclave
+    report = Report.from_bytes(
+        enclave.ecall("get_report", qe.target_info(), b"\x01" * 64))
+    return rng, ias, qe.generate(report, b"deployment")
+
+
+def _fill_sigrl(ias, rng, count):
+    ias.sig_rl.entries = [
+        (b"deployment", rng.random_bytes(32)) for _ in range(count)
+    ]
+    ias.sig_rl.version = count
+
+
+BATCH = 4
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    nonce=st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+                  max_size=16),
+    sigrl_size=st.integers(min_value=0, max_value=32),
+    revoke_signature=st.booleans(),
+    revoke_key=st.booleans(),
+    tcb_floor=st.integers(min_value=0, max_value=3),
+)
+def test_verify_quotes_equals_sequential_verify_quote(
+        nonce, sigrl_size, revoke_signature, revoke_key, tcb_floor):
+    twins = []
+    for _ in range(2):  # same seed: same group, keys, quote and SigRL
+        rng, ias, quote = _ias_world(b"verdict-prop")
+        _fill_sigrl(ias, rng, sigrl_size)
+        if revoke_signature:
+            ias.revoke_quote_signature(quote)
+        if revoke_key:
+            ias.revoke_platform("host")
+        ias.raise_tcb_floor(tcb_floor)
+        twins.append((ias, quote))
+    batch = [(twins[0][1].to_bytes(), f"{nonce}-{i}") for i in range(BATCH)]
+
+    sequential, batched = twins[0][0], twins[1][0]
+    expected = [sequential.verify_quote(q, nonce=n) for q, n in batch]
+    reports = batched.verify_quotes(batch)
+
+    assert [r.to_json() for r in reports] == [r.to_json() for r in expected]
+    assert batched.quotes_verified == sequential.quotes_verified == BATCH
+    # Amortized cost: each list is scanned once for the whole batch, then
+    # every check is one probe.
+    rl_size = len(batched.priv_rl) + len(batched.sig_rl)
+    assert batched.rl_entries_scanned <= rl_size + 2 * BATCH
+    if not revoke_key and rl_size >= 3:
+        # Sequential verifies pay the full lists per quote.
+        assert batched.rl_entries_scanned < sequential.rl_entries_scanned
+
+
+def test_verify_quotes_empty_batch(ias):
+    assert ias.verify_quotes([]) == []
+    assert ias.rl_entries_scanned == 0
+
+
+# --------------------------------------------------------------------------
+# Hostile quote bytes fail with a typed error
+# --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _real_quote_bytes():
+    _, ias, quote = _ias_world(b"hostile-quote")
+    return ias, quote.to_bytes()
+
+
+@st.composite
+def _mutated_quote(draw):
+    _, data = _real_quote_bytes()
+    data = bytearray(data)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        position = draw(st.integers(min_value=0, max_value=len(data)))
+        action = draw(st.sampled_from(("truncate", "flip", "insert")))
+        if action == "truncate":
+            del data[position:]
+        elif action == "flip" and position < len(data):
+            data[position] ^= draw(st.integers(min_value=1, max_value=255))
+        else:
+            data[position:position] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_mutated_quote())
+def test_mutated_quote_bytes_raise_only_quote_error(data):
+    ias, _ = _real_quote_bytes()
+    try:
+        Quote.from_bytes(data)
+    except QuoteError:
+        with pytest.raises(QuoteError):
+            ias.verify_quote(data)
+        return
+    # Decodable: IAS answers with a verdict, never an untyped error.
+    avr = ias.verify_quote(data)
+    assert avr.quote_status in vars(QuoteStatus).values()
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    b"\x00" * 8,                              # unknown tag
+    der.encode(5),                            # not a sequence
+    der.encode([b"a", b"b"]),                 # too few fields
+    der.encode([b"x"] * 10),                  # too many fields
+    der.encode([b"m", b"s", "1", 0, b"r", 2, b"b", 0, b""]),  # wrong type
+])
+def test_malformed_quote_raises_quote_error(data):
+    with pytest.raises(QuoteError):
+        Quote.from_bytes(data)
+
+
+@pytest.mark.parametrize("signature", [
+    b"\x00" * 5,                              # unknown tag
+    der.encode([b"g", b"b"]),                 # too few fields
+    der.encode([b"g", b"b", b"p", b"s", b"n", 7]),  # wrong type
+])
+def test_malformed_epid_signature_is_signature_invalid(ias, signature):
+    quote = Quote(b"m", b"s", 1, 0, b"r", 2, b"b", 0, signature)
+    with pytest.raises(QuoteError):
+        quote.signature()
+    avr = ias.verify_quote(quote.to_bytes())
+    assert avr.quote_status == QuoteStatus.SIGNATURE_INVALID
