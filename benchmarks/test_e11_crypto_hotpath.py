@@ -15,6 +15,12 @@ multiplication and full ``ecdsa_verify``.
 
 A fourth table tracks the streaming SHA-256 fix: doubling the message
 size must roughly double (not quadruple) chunked-update time.
+
+The symmetric table times AES-GCM key setup and encryption at 64 B,
+1 KiB and 16 KiB against the frozen per-block reference
+(``tests/crypto/gcm_reference.py``), asserting byte-identical output, and
+gates the 16 KiB speedup at >=3x; an HMAC-SHA256 key-setup row rides
+along.
 """
 
 import time
@@ -24,16 +30,20 @@ import pytest
 from repro.bench.harness import BenchReport, Table, smoke_mode, summarize
 from repro.crypto.ec import P256
 from repro.crypto.ecdsa import ecdsa_sign, ecdsa_verify, ecdsa_verify_reference
+from repro.crypto.gcm import AesGcm
+from repro.crypto.hmac import HmacSha256
 from repro.crypto.keys import generate_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.sha256 import SHA256
 from repro.errors import InvalidSignature
+from tests.crypto.gcm_reference import ReferenceAesGcm
 
 # Smoke mode shrinks iteration counts; the assertions on speedup and
 # byte-identity are the same either way.
 ITERS = 6 if smoke_mode() else 25
 ROUNDS = 5
 SPEEDUP_GATE = 3.0
+GCM_SIZES = (64, 1024, 16 * 1024)
 
 
 def _timed_batch(fn, args_list):
@@ -189,3 +199,57 @@ def test_e11_sha256_streaming_linear():
     # O(n^2) buffering made doubling the input ~4x the time; linear
     # hashing keeps the ratio near 2 (generous bound for noisy CI).
     assert ratio < 3.2, f"doubling input scaled time by {ratio:.2f}x"
+
+
+@pytest.mark.experiment("E11")
+def test_e11_symmetric_hotpath():
+    """AES-GCM setup and bulk encryption vs. the frozen per-block code."""
+    rng = HmacDrbg(seed=b"e11-gcm")
+    keys = [rng.random_bytes(16) for _ in range(ITERS)]
+    nonce = rng.random_bytes(12)
+    aad = rng.random_bytes(13)
+    table = Table(
+        "E11: AES-GCM batched CTR + Shoup GHASH vs. per-block reference",
+        ["op", "iters", "ref_ms", "fast_ms", "speedup"],
+    )
+    report = BenchReport("E11_GCM")
+
+    def row(name, iterations, ref_s, fast_s):
+        table.add_row(name, iterations, ref_s * 1000, fast_s * 1000,
+                      ref_s / fast_s)
+        report.add(name, iterations=iterations, reference_seconds=ref_s,
+                   fast_seconds=fast_s, speedup=ref_s / fast_s)
+        return ref_s / fast_s
+
+    key_args = [(k,) for k in keys]
+    row("gcm_key_setup", ITERS, _timed_batch(ReferenceAesGcm, key_args),
+        _timed_batch(AesGcm, key_args))
+
+    # Steady state of one TLS connection: a key that has already hashed
+    # past the GHASH upgrade point.
+    fast, ref = AesGcm(keys[0]), ReferenceAesGcm(keys[0])
+    fast.encrypt(nonce, bytes(16 * 1024), aad)
+    speedups = {}
+    for size in GCM_SIZES:
+        plaintext = rng.random_bytes(size)
+        assert fast.encrypt(nonce, plaintext, aad) == ref.encrypt(
+            nonce, plaintext, aad)
+        iterations = ITERS if size <= 1024 else 3
+        args = [(nonce, plaintext, aad)] * iterations
+        speedups[size] = row(f"gcm_encrypt_{size}B", iterations,
+                             _timed_batch(ref.encrypt, args),
+                             _timed_batch(fast.encrypt, args))
+
+    hmac_keys = [(rng.random_bytes(32),) for _ in range(ITERS)]
+    hmac_s = _timed_batch(HmacSha256, hmac_keys)
+    table.add_row("hmac_key_setup", ITERS, "-", hmac_s * 1000, "-")
+    report.add("hmac_key_setup", iterations=ITERS, fast_seconds=hmac_s)
+    table.show()
+    report.add_table(table)
+    report.write()
+
+    big = GCM_SIZES[-1]
+    assert speedups[big] >= SPEEDUP_GATE, (
+        f"{big} B AES-GCM encrypt speedup {speedups[big]:.2f}x "
+        f"< {SPEEDUP_GATE}x"
+    )

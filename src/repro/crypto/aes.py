@@ -117,7 +117,8 @@ class AES:
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
-        self._dec_round_keys = self._expand_decrypt_keys()
+        # Built by the first decrypt_block: CTR and GCM never decrypt.
+        self._dec_round_keys = None
 
     @staticmethod
     def _expand_key(key: bytes) -> list:
@@ -165,6 +166,11 @@ class AES:
                     )
         return out
 
+    def round_key_blocks(self) -> list:
+        """The encryption schedule as ``rounds + 1`` 16-byte round keys."""
+        flat = struct.pack(f">{len(self._round_keys)}I", *self._round_keys)
+        return [flat[i:i + 16] for i in range(0, len(flat), 16)]
+
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt a single 16-byte block."""
         if len(block) != BLOCK_SIZE:
@@ -205,6 +211,10 @@ class AES:
         if len(block) != BLOCK_SIZE:
             raise InvalidKey(f"AES block must be 16 bytes, got {len(block)}")
         rk = self._dec_round_keys
+        if rk is None:
+            # One attribute store publishes the finished schedule, so
+            # threads sharing this cipher at worst both build it.
+            rk = self._dec_round_keys = self._expand_decrypt_keys()
         s0, s1, s2, s3 = struct.unpack(">4I", block)
         s0 ^= rk[0]
         s1 ^= rk[1]

@@ -5,6 +5,9 @@ from __future__ import annotations
 from repro.crypto.constant_time import ct_bytes_eq
 from repro.crypto.sha256 import SHA256, BLOCK_SIZE, DIGEST_SIZE
 
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+
 
 class HmacSha256:
     """Incremental HMAC-SHA256.
@@ -20,8 +23,8 @@ class HmacSha256:
         if len(key) > BLOCK_SIZE:
             key = SHA256(key).digest()
         key = key.ljust(BLOCK_SIZE, b"\x00")
-        self._outer_key = bytes(b ^ 0x5C for b in key)
-        self._inner = SHA256(bytes(b ^ 0x36 for b in key))
+        self._outer_key = key.translate(_OPAD)
+        self._inner = SHA256(key.translate(_IPAD))
         if data:
             self._inner.update(data)
 

@@ -257,3 +257,40 @@ def test_fleet_enrollment_repeated_runs_are_stable():
                 for name in dep.vnf_names}
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------- lazy key state
+
+
+def test_shared_cipher_lazy_tables_race_is_harmless():
+    """Threads sharing one key race the GHASH upgrade and the lazy AES
+    decrypt schedule; every output still matches the per-block oracle."""
+    import sys
+
+    from repro.crypto.aes import AES
+    from repro.crypto.gcm import GHASH_UPGRADE_BLOCKS, AesGcm
+    from tests.crypto.gcm_reference import ReferenceAesGcm
+
+    key, nonce = bytes(range(16)), bytes(12)
+    aead, cipher = AesGcm(key), AES(key)
+    reference = ReferenceAesGcm(key)
+    # Each thread alone takes a few calls to cross the upgrade point.
+    messages = [bytes([i]) * (16 * GHASH_UPGRADE_BLOCKS // 3 + i)
+                for i in range(THREADS)]
+    expected = [reference.encrypt(nonce, m, b"aad") for m in messages]
+    block = cipher.encrypt_block(bytes(16))
+
+    def worker(index):
+        for _ in range(4):
+            sealed = aead.encrypt(nonce, messages[index], b"aad")
+            assert sealed == expected[index]
+            assert aead.decrypt(nonce, sealed, b"aad") == messages[index]
+            assert cipher.decrypt_block(block) == bytes(16)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(worker)
+    finally:
+        sys.setswitchinterval(interval)
+    assert aead._ghash._position_tables is not None
