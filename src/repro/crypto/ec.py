@@ -26,12 +26,18 @@ Two layers coexist deliberately:
     into one dict hit.  :meth:`_Curve.validate_public_uncached` keeps the
     original full-order check as the reference/oracle path.
 
-Every fast-path invocation, table build and validation-cache hit/miss is
-counted in :class:`EcEngineStats` (plain integers — negligible overhead);
-:meth:`repro.obs.Telemetry.sync_ec_stats` mirrors the counters into the
-metrics registry so they show up on the VM's ``/metrics`` endpoint.  See
-``docs/PERFORMANCE.md`` for the design discussion and the E11 benchmark
-tables proving the speedups.
+The curve also holds the **signature memo** that
+:func:`repro.crypto.ecdsa.ecdsa_verify` consults: a bounded LRU of
+``(Q, SHA-256(message), r, s)`` tuples that already verified, so the
+re-checks of one CA certificate, CRL or SIGSTRUCT cost one dict hit.
+Only accepted signatures are remembered.
+
+Every fast-path invocation, table build and cache hit/miss is counted in
+:class:`EcEngineStats` (lock-guarded :meth:`EcEngineStats.bump` calls,
+~100 ns each); :meth:`repro.obs.Telemetry.sync_ec_stats` mirrors the
+counters into the metrics registry so they show up on the VM's
+``/metrics`` endpoint.  See ``docs/PERFORMANCE.md`` for the design
+discussion and the E11 benchmark tables proving the speedups.
 """
 
 from __future__ import annotations
@@ -67,6 +73,12 @@ VALIDATION_CACHE_CAPACITY = 512
 #: CA key, and every handshake against a given peer reuses its key.
 POINT_TABLE_CACHE_CAPACITY = 128
 
+#: Bound on the memo of successfully verified ECDSA signatures (per
+#: curve).  An entry is a point, a 32-byte digest and two scalars; a full
+#: memo holds at most about 0.55 MB (measured with tracemalloc, nothing
+#: shared with callers).
+SIGNATURE_MEMO_CAPACITY = 1024
+
 
 class Point(NamedTuple):
     """An affine curve point; ``None`` coordinates never appear here —
@@ -100,6 +112,8 @@ class EcEngineStats:
         "order_checks_skipped",
         "point_table_hits",
         "point_table_misses",
+        "signature_memo_hits",
+        "signature_memo_misses",
     )
 
     __slots__ = _COUNTERS + ("_lock",)
@@ -162,9 +176,10 @@ class _Curve:
         self.h = h  # cofactor (1 for all NIST prime curves)
         self.coordinate_size = (p.bit_length() + 7) // 8
         self.stats = EcEngineStats()
-        # Guards the validated-point LRU, the per-point table LRU and the
-        # lazy one-shot table builds below.  RLock because validation may
-        # nest inside a locked table build on cofactor>1 curves.  Leaf
+        # Guards the validated-point LRU, the per-point table LRU, the
+        # signature memo and the lazy one-shot table builds below.  RLock
+        # because validation may nest inside a locked table build on
+        # cofactor>1 curves.  Leaf
         # domain of its own ("ec_curves", not the core "cache" chain):
         # point validation runs under TLS handshakes that the fleet
         # drives while holding per-host leaf locks, and a chain-ranked
@@ -187,6 +202,10 @@ class _Curve:
         self._point_tables: "OrderedDict[Tuple[int, int], Tuple[List[Point], List[Point]]]" = \
             OrderedDict()
         self.point_table_cache_capacity = POINT_TABLE_CACHE_CAPACITY
+        # LRU of signatures that verified: (Q, digest, r, s) -> True.
+        self._signatures: "OrderedDict[Tuple[Point, bytes, int, int], bool]" = \
+            OrderedDict()
+        self.signature_memo_capacity = SIGNATURE_MEMO_CAPACITY
 
     # ------------------------------------------------------------- checks
 
@@ -246,9 +265,33 @@ class _Curve:
         return point
 
     def reset_validation_cache(self) -> None:
-        """Drop every cached validation verdict (tests / key rotation)."""
+        """Drop every cached validation verdict and remembered signature
+        (tests / key rotation)."""
         with self._lock:
             self._validated.clear()
+            self._signatures.clear()
+
+    def signature_memo_hit(self, key: Tuple[Point, bytes, int, int]) -> bool:
+        """True if ``key`` (see :func:`repro.crypto.ecdsa.ecdsa_verify`)
+        already verified; a hit refreshes its LRU position."""
+        memo = self._signatures
+        with self._lock:
+            if key in memo:
+                memo.move_to_end(key)
+                self.stats.bump("signature_memo_hits")
+                return True
+        self.stats.bump("signature_memo_misses")
+        return False
+
+    def remember_signature(self, key: Tuple[Point, bytes, int, int]) -> None:
+        """Record a signature that just verified, evicting the oldest
+        entry beyond :data:`SIGNATURE_MEMO_CAPACITY`.  Callers insert
+        only after the full check accepted."""
+        memo = self._signatures
+        with self._lock:
+            memo[key] = True
+            if len(memo) > self.signature_memo_capacity:
+                memo.popitem(last=False)
 
     def reset_point_tables(self) -> None:
         """Drop every cached odd-multiples table (tests).  Safe at any
@@ -261,6 +304,12 @@ class _Curve:
         """Number of points currently remembered as valid."""
         with self._lock:
             return len(self._validated)
+
+    @property
+    def signature_memo_size(self) -> int:
+        """Number of signatures currently remembered as valid."""
+        with self._lock:
+            return len(self._signatures)
 
     # ------------------------------------------------------- group arithmetic
 

@@ -78,6 +78,16 @@ def ecdsa_verify(public_key: Point, message: bytes, signature: Tuple[int, int],
                  curve: _Curve = P256) -> None:
     """Verify ``signature`` over ``message``.
 
+    Signature memo: a signature that verified once is remembered on the
+    curve under ``(Q, SHA-256(message), r, s)``, and a repeat
+    returns after one dict lookup.  The digest is all ECDSA ever sees of
+    the message, so the memo accepts exactly what the full check would.
+    A miss runs every check below and inserts the key only after the
+    ladder accepted; rejections are never remembered, and
+    :meth:`~repro.crypto.ec._Curve.reset_validation_cache` empties the
+    memo.  Validity periods, CRL status, key usage and revocation are the
+    callers' checks and are never memoised.
+
     Hot path: key validation hits the curve's validated-point LRU for
     repeat verifies against the same key, ``s`` is inverted with the
     extended-gcd ``pow(s, -1, n)`` (~7x cheaper than the Fermat power for
@@ -90,18 +100,23 @@ def ecdsa_verify(public_key: Point, message: bytes, signature: Tuple[int, int],
     Raises:
         InvalidSignature: if the signature does not verify.
     """
-    curve.validate_public(public_key)
     r, s = signature
+    digest = sha256(message)
+    memo_key = (public_key, digest, r, s)
+    if curve.signature_memo_hit(memo_key):
+        return
+    curve.validate_public(public_key)
     n = curve.n
     if not (1 <= r < n and 1 <= s < n):
         raise InvalidSignature("signature component out of range")
-    z = _bits2int(sha256(message), n) % n
+    z = _bits2int(digest, n) % n
     s_inv = pow(s, -1, n)
     u1 = z * s_inv % n
     u2 = r * s_inv % n
     point: Optional[Point] = curve.multiply_dual(u1, u2, public_key)
     if point is None or point.x % n != r:
         raise InvalidSignature("ECDSA verification failed")
+    curve.remember_signature(memo_key)
 
 
 def ecdsa_verify_reference(public_key: Point, message: bytes,

@@ -256,11 +256,13 @@ class Telemetry:
         ).observe(seconds)
 
     def sync_ec_stats(self, curve=None) -> None:
-        """Mirror the EC engine's plain-integer counters into ``ec_ops``.
+        """Mirror the EC engine's counters into ``ec_ops``.
 
-        The crypto layer counts with bare ``int += 1`` so the hot ladders
-        never touch the registry; this pull-style sync (called by the
-        ``/metrics`` endpoint before rendering, or manually) copies the
+        The crypto layer counts with lock-guarded
+        :meth:`~repro.crypto.ec.EcEngineStats.bump` calls on its own
+        counters, so the hot ladders never touch the registry; this
+        pull-style sync (called by the ``/metrics`` endpoint before
+        rendering, or manually) copies the
         current snapshot into gauge children.  Passing ``curve`` overrides
         the default P-256 instance (tests use private curves).
         """

@@ -177,6 +177,50 @@ def test_ec_validation_cache_concurrent():
     assert P256.validation_cache_size <= P256.validation_cache_capacity
 
 
+def test_signature_memo_concurrent_verdicts(monkeypatch):
+    """Threads share good and bad signatures at a tiny switch interval:
+    no good one is rejected, no bad one accepted, the memo stays bounded."""
+    import sys
+
+    from repro.crypto.ec import P256
+    from repro.crypto.ecdsa import ecdsa_sign, ecdsa_verify
+    from repro.crypto.keys import generate_keypair
+    from repro.crypto.rng import HmacDrbg
+    from repro.errors import InvalidSignature
+
+    rng = HmacDrbg(b"memo-stress")
+    keys = [generate_keypair(rng) for _ in range(2)]
+    good, bad = [], []
+    for i in range(6):
+        key = keys[i % len(keys)]
+        message = b"memo %d" % i
+        r, s = ecdsa_sign(key.scalar, message)
+        good.append((key.public.point, message, (r, s)))
+        bad.append((key.public.point, message, (r, s ^ 1)))
+    # Below the number of distinct good triples, so threads also race
+    # evictions and re-inserts.
+    monkeypatch.setattr(P256, "signature_memo_capacity", 4)
+    P256.reset_validation_cache()
+
+    def worker(index):
+        for i in range(12):
+            triple = good[(index + i) % len(good)]
+            ecdsa_verify(*triple)
+            with pytest.raises(InvalidSignature):
+                ecdsa_verify(*bad[(index + i) % len(bad)])
+            assert P256.signature_memo_size <= 4
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(worker)
+    finally:
+        sys.setswitchinterval(interval)
+        P256.reset_validation_cache()
+    stats = P256.stats.snapshot()
+    assert stats["signature_memo_hits"] + stats["signature_memo_misses"] > 0
+
+
 # ------------------------------------------------------------ telemetry
 
 
