@@ -127,7 +127,7 @@ LOCK_SITES: Dict[Tuple[str, Optional[str], str], str] = {
     ("crypto/rng.py", None, "_lock"): "rng",
     ("crypto/rng.py", None, "_default_lock"): "rng",
     ("core/fleet.py", None, "_pool_lock"): "ias_pool",
-    ("core/fleet.py", None, "_keystore_lock"): "keystore",
+    ("core/workflow.py", None, "_keystore_lock"): "keystore",
     ("core/fleet.py", None, "_host_locks"): "host",
     ("obs/registry.py", "MetricsRegistry", "_lock"): "registry",
     ("obs/registry.py", None, "_family_lock"): "family",

@@ -80,14 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="enrol every VNF through the worker-pool scheduler "
-             "(single-flight host attestation, pooled IAS connection)")
+        help="enrol every VNF on a worker pool: the serial workflow's "
+             "per-VNF steps, with each host attested once and one pooled "
+             "IAS connection")
     _common_flags(fleet)
     fleet.add_argument("--workers", type=int, default=4,
                        help="worker-pool width (default 4)")
-    fleet.add_argument("--no-pooled-ias", action="store_true",
-                       help="dial IAS per verification instead of reusing "
-                            "one connection")
 
     metrics = sub.add_parser(
         "metrics",
@@ -230,9 +228,7 @@ def _cmd_enroll(args, out) -> int:
 
 def _cmd_fleet(args, out) -> int:
     deployment = _build_deployment(args)
-    report = deployment.enroll_fleet(
-        workers=args.workers, pooled_ias=not args.no_pooled_ias,
-    )
+    report = deployment.enroll_fleet(workers=args.workers)
     for host_name, timing in report.host_attestations.items():
         out.write(
             f"{host_name}: attested once for the fleet "

@@ -28,17 +28,12 @@ from repro.core.attestation_enclave import AttestationEnclave
 from repro.core.credential_enclave import CredentialEnclave, EnclaveBackedClient
 from repro.core.enrollment import EnrollmentSession
 from repro.core.events import AuditLog, AuditEvent
-from repro.core.fleet import (
-    FleetReport,
-    FleetResult,
-    FleetScheduler,
-    PooledIasClient,
-)
+from repro.core.fleet import FleetScheduler, PooledIasClient
 from repro.core.host_agent import HostAgent, HostAgentClient
 from repro.core.policy import DeploymentPolicy
 from repro.core.provisioning import CredentialBundle
 from repro.core.verification_manager import VerificationManager
-from repro.core.workflow import Deployment, WorkflowTrace
+from repro.core.workflow import Deployment, FleetResult, WorkflowTrace
 
 __all__ = [
     "AppraisalEngine",
@@ -50,7 +45,6 @@ __all__ = [
     "EnrollmentSession",
     "AuditLog",
     "AuditEvent",
-    "FleetReport",
     "FleetResult",
     "FleetScheduler",
     "PooledIasClient",

@@ -39,6 +39,8 @@ STATE_VNF_ATTESTED_AND_PROVISIONED = "provisioned"
 STATE_ENROLLED = "enrolled"
 STATE_FAILED = "failed"
 
+HOST_ATTESTATION_STEP = "host-attestation (steps 1-2)"
+
 
 @dataclass
 class StepTiming:
@@ -149,8 +151,7 @@ class EnrollmentSession:
             result.raise_if_failed(self.host_name)
             return result
 
-        result = self._timed("host-attestation (steps 1-2)",
-                             attest_and_check)
+        result = self._timed(HOST_ATTESTATION_STEP, attest_and_check)
         self.state = STATE_HOST_ATTESTED
         return result
 

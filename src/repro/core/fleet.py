@@ -29,10 +29,12 @@ result independent of worker interleaving:
    enrollments interleaved draws on the shared RNG;
 3. ECDSA signatures are RFC 6979 deterministic.
 
-Partial-failure semantics mirror
-:meth:`~repro.core.workflow.Deployment.run_workflow`: one failed VNF is
-recorded in the report and the fleet run continues.  Locking rules for
-everything the workers share are catalogued in ``docs/CONCURRENCY.md``.
+Each worker runs the deployment's one per-VNF routine, the same one
+:meth:`~repro.core.workflow.Deployment.run_workflow` runs, with the host
+already attested, and the run returns the same
+:class:`~repro.core.workflow.WorkflowTrace`: one failed VNF is recorded
+in it and the fleet run continues.  Locking rules for everything the
+workers share are catalogued in ``docs/CONCURRENCY.md``.
 """
 
 from __future__ import annotations
@@ -41,21 +43,14 @@ import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.sanitizer import make_lock, make_rlock
-from repro.core.enrollment import (
-    STATE_FAILED,
-    STATE_HOST_ATTESTED,
-    EnrollmentSession,
-    StepTiming,
-)
+from repro.core.enrollment import HOST_ATTESTATION_STEP, StepTiming
+from repro.core.workflow import FleetResult, WorkflowTrace
 from repro.errors import ChannelClosed, NetError, ReproError, VnfSgxError
 from repro.ias.api import IasClient
 from repro.net.retry import RetryPolicy
-
-HOST_ATTESTATION_STEP = "host-attestation (steps 1-2)"
 
 
 class PooledIasClient(IasClient):
@@ -131,123 +126,29 @@ class PooledIasClient(IasClient):
                     conn.close()
 
 
-@dataclass
-class FleetResult:
-    """Outcome of one VNF's enrollment within a fleet run."""
-
-    vnf_name: str
-    host_name: str
-    state: str
-    certificate_serial: Optional[int] = None
-    timings: List[StepTiming] = field(default_factory=list)
-    error: Optional[str] = None
-
-    @property
-    def succeeded(self) -> bool:
-        """Did this VNF reach the enrolled state?"""
-        return self.error is None
-
-
-@dataclass
-class FleetReport:
-    """What a fleet run measured — the pooled analogue of
-    :class:`~repro.core.workflow.WorkflowTrace`.
-
-    Attributes:
-        results: per-VNF outcome, in submission order.
-        host_attestations: one timing per distinct host (single-flight:
-            the fleet attests each host once, unlike the serial loop).
-        workers: pool width the run used.
-        simulated_seconds / wall_seconds / clock_charges: totals.
-    """
-
-    results: Dict[str, FleetResult] = field(default_factory=dict)
-    host_attestations: Dict[str, StepTiming] = field(default_factory=dict)
-    workers: int = 1
-    simulated_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    clock_charges: Dict[str, float] = field(default_factory=dict)
-    ias_connects: int = 0
-    ias_reused_exchanges: int = 0
-
-    @property
-    def per_vnf(self) -> Dict[str, List[StepTiming]]:
-        """Per-step timings of every successfully enrolled VNF
-        (``WorkflowTrace.per_vnf`` semantics)."""
-        return {name: list(result.timings)
-                for name, result in self.results.items()
-                if result.succeeded}
-
-    @property
-    def failed(self) -> Dict[str, str]:
-        """VNF name -> ``"ExceptionType: message"`` for every failure
-        (``WorkflowTrace.failed`` semantics)."""
-        return {name: result.error
-                for name, result in self.results.items()
-                if result.error is not None}
-
-    @property
-    def fully_succeeded(self) -> bool:
-        """True when every submitted VNF enrolled."""
-        return all(result.succeeded for result in self.results.values())
-
-    def step_totals(self) -> Dict[str, float]:
-        """Simulated seconds per step, summed over VNFs and hosts."""
-        totals: Dict[str, float] = {}
-        for timing in self.host_attestations.values():
-            totals[timing.step] = (
-                totals.get(timing.step, 0.0) + timing.simulated_seconds
-            )
-        for result in self.results.values():
-            for timing in result.timings:
-                totals[timing.step] = (
-                    totals.get(timing.step, 0.0) + timing.simulated_seconds
-                )
-        return totals
-
-
 class FleetScheduler:
-    """Drives N enrollment sessions across a bounded worker pool.
+    """Drives N enrollments across a bounded worker pool.
 
     Args:
         deployment: a wired :class:`~repro.core.workflow.Deployment`.
-        workers: pool width (bounded concurrency; 1 degenerates to a
-            serial loop over the same code path).
+        workers: pool width (bounded concurrency).
         retry_policy: per-VNF step retry/deadline budget; defaults to
             the deployment's configured policy.
-        pooled_ias: reuse one persistent IAS connection for the whole
-            run (the E12 speedup lever); disable to keep the
-            connection-per-verification behaviour.
     """
 
     def __init__(self, deployment, workers: int = 4,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 pooled_ias: bool = True) -> None:
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
         if workers < 1:
             raise VnfSgxError("fleet needs at least one worker")
         self.deployment = deployment
         self.workers = workers
         self.retry_policy = (retry_policy if retry_policy is not None
                              else deployment.retry_policy)
-        self.pooled_ias = pooled_ias
         self._host_locks: Dict[str, threading.Lock] = {}
         self._host_errors: Dict[str, Optional[str]] = {}
-        self._keystore_lock = make_lock("keystore")
+        self._report: Optional[WorkflowTrace] = None
 
     # ------------------------------------------------------------ internals
-
-    def _pooled_client(self) -> PooledIasClient:
-        from repro.core.workflow import IAS_ADDRESS
-
-        dep = self.deployment
-        client = PooledIasClient(
-            dep.network, IAS_ADDRESS, dep.ias_http.ias_truststore,
-            dep.ias.report_signing_public_key, rng=dep.rng,
-        )
-        client.configure_retries(self.retry_policy, rng=dep._retry_rng)
-        if dep.telemetry is not None:
-            client.instrument(dep.telemetry)
-        return client
 
     def _ensure_host_attested(self, host_name: str) -> StepTiming:
         """Single-flight host attestation.
@@ -267,7 +168,7 @@ class FleetScheduler:
                     raise VnfSgxError(
                         f"host {host_name} failed fleet attestation: {error}"
                     )
-                return self.deployment_report.host_attestations[host_name]
+                return self._report.host_attestations[host_name]
             sim_start = dep.clock.local_seconds()
             wall_start = time.perf_counter()
             try:
@@ -286,66 +187,27 @@ class FleetScheduler:
                 wall_seconds=time.perf_counter() - wall_start,
             )
             self._host_errors[host_name] = None
-            self.deployment_report.host_attestations[host_name] = timing
+            self._report.host_attestations[host_name] = timing
             return timing
 
     def _enroll_one(self, vnf_name: str, serial: int) -> FleetResult:
         dep = self.deployment
-        host = dep.vnf_host[vnf_name]
-        try:
-            self._ensure_host_attested(host.name)
-        except ReproError as exc:
-            return FleetResult(
-                vnf_name=vnf_name, host_name=host.name, state=STATE_FAILED,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        session = EnrollmentSession(
-            vm=dep.vm,
-            agent=dep.agent_clients[host.name],
-            host_name=host.name,
-            vnf_name=vnf_name,
-            controller_address=str(dep.controller_address()),
-            # Per-thread elapsed time: each worker's step timings count
-            # only the virtual-clock charges *it* performed, so pooled
-            # timings stay comparable to serial ones.
-            sim_now=dep.clock.local_seconds,
-            telemetry=dep.telemetry,
-            retry_policy=self.retry_policy,
-            clock=dep.clock,
-            retry_rng=dep._retry_rng,
-            reserved_serial=serial,
-        )
-        # The host was attested fleet-wide (single-flight) above.
-        session.state = STATE_HOST_ATTESTED
-        try:
-            session.provision()
-            if dep.client_validation == "keystore":
-                with self._keystore_lock:
-                    dep.keystore.add_trusted(
-                        vnf_name, dep.vm.issued_certificate(vnf_name)
-                    )
-            session.connect(dep.enclave_client(vnf_name))
-        except ReproError as exc:
-            return FleetResult(
-                vnf_name=vnf_name, host_name=host.name, state=session.state,
-                certificate_serial=session.certificate_serial,
-                timings=list(session.timings),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return FleetResult(
-            vnf_name=vnf_name, host_name=host.name, state=session.state,
-            certificate_serial=session.certificate_serial,
-            timings=list(session.timings),
-        )
+
+        def enroll():
+            self._ensure_host_attested(dep.vnf_host[vnf_name].name)
+            return dep._enroll_vnf(vnf_name, serial, host_attested=True,
+                                   retry_policy=self.retry_policy)
+
+        return dep._enrollment_result(vnf_name, enroll)
 
     # -------------------------------------------------------------- running
 
     def enroll(self, vnf_names: Optional[Sequence[str]] = None
-               ) -> FleetReport:
+               ) -> WorkflowTrace:
         """Enroll ``vnf_names`` (default: every VNF) across the pool.
 
-        Returns a :class:`FleetReport`; failures are recorded per VNF,
-        never raised (partial-failure semantics).
+        Returns a :class:`~repro.core.workflow.WorkflowTrace`; failures
+        are recorded per VNF, never raised (partial-failure semantics).
         """
         dep = self.deployment
         names = list(vnf_names if vnf_names is not None else dep.vnf_names)
@@ -355,8 +217,7 @@ class FleetScheduler:
         if len(set(names)) != len(names):
             raise VnfSgxError("duplicate VNF names in fleet submission")
 
-        report = FleetReport(workers=self.workers)
-        self.deployment_report = report
+        report = self._report = WorkflowTrace(workers=self.workers)
         self._host_locks = {
             dep.vnf_host[name].name: make_lock("host") for name in names
         }
@@ -365,37 +226,20 @@ class FleetScheduler:
         # Reserve serials in submission order *before* dispatch: the
         # certificate each VNF receives is then independent of worker
         # interleaving and identical to a serial loop's.
-        serials = {name: dep.vm.ca.reserve_serial() for name in names}
+        serials = [dep.vm.ca.reserve_serial() for _ in names]
 
-        pooled = self._pooled_client() if self.pooled_ias else None
-        previous_ias = (dep.vm.swap_ias_client(pooled)
-                        if pooled is not None else None)
-        sim_start = dep.clock.now()
-        wall_start = time.perf_counter()
-        dep.clock.reset_charges()
-        try:
-            if not names:
-                return report
-            if self.workers == 1:
-                outcomes = [self._enroll_one(name, serials[name])
-                            for name in names]
-            else:
-                with ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="fleet") as pool:
-                    outcomes = list(pool.map(
-                        self._enroll_one, names,
-                        [serials[name] for name in names],
-                    ))
-            for outcome in outcomes:
-                report.results[outcome.vnf_name] = outcome
-            return report
-        finally:
-            if pooled is not None:
+        pooled = dep._ias_pool(self.retry_policy)
+        previous_ias = dep.vm.swap_ias_client(pooled)
+        with dep._measuring(report):
+            try:
+                with ThreadPoolExecutor(max_workers=self.workers,
+                                        thread_name_prefix="fleet") as pool:
+                    for outcome in pool.map(self._enroll_one, names,
+                                            serials):
+                        report.results[outcome.vnf_name] = outcome
+            finally:
                 dep.vm.swap_ias_client(previous_ias)
                 report.ias_connects = pooled.connects
                 report.ias_reused_exchanges = pooled.reused_exchanges
                 pooled.close()
-            report.simulated_seconds = dep.clock.now() - sim_start
-            report.wall_seconds = time.perf_counter() - wall_start
-            report.clock_charges = dep.clock.charges()
+        return report

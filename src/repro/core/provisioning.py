@@ -46,8 +46,15 @@ class CredentialBundle:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CredentialBundle":
-        """Parse a serialized bundle."""
-        key, chain, anchors, address = der.decode(data)
+        """Parse a serialized bundle.
+
+        Raises:
+            ProvisioningError: ``data`` is not a well-formed bundle.
+        """
+        key, chain, anchors, address = der.decode_record(
+            data, (bytes, [bytes], [bytes], str), ProvisioningError,
+            "credential bundle",
+        )
         return cls(
             private_key_bytes=key,
             certificate_chain=tuple(chain),
@@ -76,9 +83,14 @@ class ProvisioningMessage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProvisioningMessage":
-        """Parse a serialized message."""
-        vm_public, nonce, ciphertext = der.decode(data)
-        return cls(vm_public, nonce, ciphertext)
+        """Parse a serialized message.
+
+        Raises:
+            ProvisioningError: ``data`` is not a well-formed message.
+        """
+        return cls(*der.decode_record(data, (bytes, bytes, bytes),
+                                      ProvisioningError,
+                                      "provisioning message"))
 
 
 def binding_hash(enclave_public_bytes: bytes, vm_nonce: bytes) -> bytes:

@@ -15,17 +15,24 @@ keystore-vs-CA validation model, SGX cost parameters, fleet size).
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.analysis.sanitizer import make_lock
 from repro.containers.host import ContainerHost
 from repro.containers.image import build_image
 from repro.containers.registry import Registry
 from repro.core.appraisal import ExpectedValues
 from repro.core.attestation_enclave import AttestationEnclave
 from repro.core.credential_enclave import CredentialEnclave, EnclaveBackedClient
-from repro.core.enrollment import EnrollmentSession, StepTiming
+from repro.core.enrollment import (
+    STATE_FAILED,
+    STATE_HOST_ATTESTED,
+    EnrollmentSession,
+    StepTiming,
+)
 from repro.core.host_agent import HostAgent, HostAgentClient
 from repro.core.policy import DeploymentPolicy
 from repro.core.verification_manager import VerificationManager
@@ -72,38 +79,80 @@ VALIDATION_KEYSTORE = "keystore"
 
 
 @dataclass
+class FleetResult:
+    """Outcome of one VNF's enrollment within a workflow or fleet run."""
+
+    vnf_name: str
+    host_name: str
+    state: str
+    certificate_serial: Optional[int] = None
+    timings: List[StepTiming] = field(default_factory=list)
+    error: Optional[str] = None
+
+    @property
+    def succeeded(self) -> bool:
+        """Did this VNF reach the enrolled state?"""
+        return self.error is None
+
+
+@dataclass
 class WorkflowTrace:
-    """Everything :meth:`Deployment.run_workflow` measured.
+    """What :meth:`Deployment.run_workflow` or
+    :meth:`Deployment.enroll_fleet` measured.
 
     Attributes:
-        per_vnf: per-step timings of every *successfully* enrolled VNF.
-        failed: VNF name -> ``"ExceptionType: message"`` for every VNF
-            whose enrollment failed; the fleet run continues past them
+        results: per-VNF outcome, in submission order.  A VNF whose
+            enrollment failed is recorded here and the run continues
             (partial-failure semantics — one bad host must not abort a
             deployment of thousands).
+        host_attestations: one timing per distinct host the fleet
+            attested (single-flight).  Empty for the serial loop, whose
+            per-VNF timings include their own host attestation.
+        workers: pool width (1 for the serial loop).
         simulated_seconds / wall_seconds / clock_charges: totals.
+        ias_connects / ias_reused_exchanges: use of the fleet's pooled
+            IAS connection (0 for the serial loop).
     """
 
-    per_vnf: Dict[str, List[StepTiming]] = field(default_factory=dict)
-    failed: Dict[str, str] = field(default_factory=dict)
+    results: Dict[str, FleetResult] = field(default_factory=dict)
+    host_attestations: Dict[str, StepTiming] = field(default_factory=dict)
+    workers: int = 1
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
     clock_charges: Dict[str, float] = field(default_factory=dict)
+    ias_connects: int = 0
+    ias_reused_exchanges: int = 0
 
-    def step_totals(self) -> Dict[str, float]:
-        """Simulated seconds per workflow step, summed over VNFs."""
-        totals: Dict[str, float] = {}
-        for timings in self.per_vnf.values():
-            for timing in timings:
-                totals[timing.step] = (
-                    totals.get(timing.step, 0.0) + timing.simulated_seconds
-                )
-        return totals
+    @property
+    def per_vnf(self) -> Dict[str, List[StepTiming]]:
+        """Per-step timings of every successfully enrolled VNF."""
+        return {name: list(result.timings)
+                for name, result in self.results.items()
+                if result.succeeded}
+
+    @property
+    def failed(self) -> Dict[str, str]:
+        """VNF name -> ``"ExceptionType: message"`` for every failure."""
+        return {name: result.error
+                for name, result in self.results.items()
+                if result.error is not None}
 
     @property
     def fully_succeeded(self) -> bool:
-        """True when every VNF in the run enrolled."""
-        return not self.failed
+        """True when every submitted VNF enrolled."""
+        return all(result.succeeded for result in self.results.values())
+
+    def step_totals(self) -> Dict[str, float]:
+        """Simulated seconds per step, summed over VNFs and hosts."""
+        totals: Dict[str, float] = {}
+        timings = list(self.host_attestations.values())
+        for result in self.results.values():
+            timings.extend(result.timings)
+        for timing in timings:
+            totals[timing.step] = (
+                totals.get(timing.step, 0.0) + timing.simulated_seconds
+            )
+        return totals
 
 
 class Deployment:
@@ -180,6 +229,7 @@ class Deployment:
         )
         server_key, server_cert = self.server_key, self.server_cert
         self.keystore = Keystore()
+        self._keystore_lock = make_lock("keystore")
         self.endpoints: Dict[str, NorthboundEndpoint] = {}
         for mode in modes:
             address = Address(CONTROLLER_HOST, MODE_PORTS[mode])
@@ -443,8 +493,7 @@ class Deployment:
 
     # --------------------------------------------------------------- RA-TLS
 
-    def build_ratls(self, address: Optional[Address] = None,
-                    pooled_ias: bool = True):
+    def build_ratls(self, address: Optional[Address] = None):
         """Serve the RA-TLS northbound mode (opt-in, idempotent).
 
         Creates a :class:`~repro.tls.ratls.RatlsVerifier` wired to the
@@ -453,12 +502,12 @@ class Deployment:
         sessions), and mounts a ``ratls-https`` northbound endpoint whose
         client validation is the verifier.  Returns the verifier.
 
-        With ``pooled_ias`` (the default) the Verification Manager's IAS
-        client is swapped for a :class:`~repro.core.fleet.PooledIasClient`
-        for the endpoint's lifetime: the verifier is a long-lived
-        controller-side service attesting many handshakes, exactly the
-        amortization the fleet scheduler applies per run (and, per
-        experiment E12, byte-identical to per-verify dialing).
+        The Verification Manager's IAS client is swapped for a
+        :class:`~repro.core.fleet.PooledIasClient` for the endpoint's
+        lifetime: the verifier is a long-lived controller-side service
+        attesting many handshakes, exactly the amortization the fleet
+        scheduler applies per run (and, per experiment E12,
+        byte-identical to per-verify dialing).
         """
         if self.ratls_verifier is not None:
             return self.ratls_verifier
@@ -467,20 +516,8 @@ class Deployment:
         verifier = self.vm.ratls_verifier()
         session_cache = SessionCache()
         verifier.attach_session_cache(session_cache)
-        if pooled_ias:
-            from repro.core.fleet import PooledIasClient
-
-            pool = PooledIasClient(
-                self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
-                self.ias.report_signing_public_key, rng=self.rng,
-            )
-            if self.retry_policy is not None:
-                pool.configure_retries(self.retry_policy,
-                                       rng=self._retry_rng)
-            if self.telemetry is not None:
-                pool.instrument(self.telemetry)
-            self.vm.swap_ias_client(pool)
-            self.ratls_ias_pool = pool
+        self.ratls_ias_pool = self._ias_pool(self.retry_policy)
+        self.vm.swap_ias_client(self.ratls_ias_pool)
         address = address or Address(CONTROLLER_HOST, MODE_PORTS[MODE_RATLS])
         tls_config = TlsConfig(
             certificate_chain=[self.server_cert],
@@ -598,8 +635,39 @@ class Deployment:
 
     # -------------------------------------------------------------- running
 
-    def enroll(self, vnf_name: str) -> EnrollmentSession:
-        """Run steps 1-6 for one VNF; returns the completed session."""
+    def _ias_pool(self, retry_policy: Optional[RetryPolicy]):
+        """A fresh :class:`~repro.core.fleet.PooledIasClient` to this
+        deployment's IAS, retrying under ``retry_policy`` and
+        instrumented when telemetry is on."""
+        from repro.core.fleet import PooledIasClient
+
+        client = PooledIasClient(
+            self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
+            self.ias.report_signing_public_key, rng=self.rng,
+        )
+        client.configure_retries(retry_policy, rng=self._retry_rng)
+        if self.telemetry is not None:
+            client.instrument(self.telemetry)
+        return client
+
+    def _enroll_vnf(self, vnf_name: str,
+                   reserved_serial: Optional[int] = None,
+                   host_attested: bool = False, *,
+                   retry_policy: Optional[RetryPolicy] = None
+                   ) -> EnrollmentSession:
+        """Run one VNF's enrollment: the one routine behind
+        :meth:`enroll`, :meth:`run_workflow` and the fleet scheduler.
+
+        Builds the :class:`~repro.core.enrollment.EnrollmentSession`,
+        runs steps 1-6 (steps 3-6 when ``host_attested``: the fleet has
+        already attested the host, single-flight) inside an
+        ``enrollment`` span when telemetry is on, and in the keystore
+        validation model adds the new credential to the keystore before
+        the first connection.  ``reserved_serial`` pins the certificate
+        serial (the fleet reserves serials in submission order);
+        ``retry_policy`` overrides the deployment's step retry policy.
+        Raises on failure; returns the completed session.
+        """
         host = self.vnf_host[vnf_name]
         session = EnrollmentSession(
             vm=self.vm,
@@ -607,31 +675,76 @@ class Deployment:
             host_name=host.name,
             vnf_name=vnf_name,
             controller_address=str(self.controller_address(MODE_TRUSTED)),
-            sim_now=self.clock.now,
+            # Per-thread elapsed time: a fleet worker's step timings count
+            # only the virtual-clock charges *it* performed, so pooled
+            # timings stay comparable to serial ones.
+            sim_now=self.clock.local_seconds,
             telemetry=self.telemetry,
-            retry_policy=self.retry_policy,
+            retry_policy=(retry_policy if retry_policy is not None
+                          else self.retry_policy),
             clock=self.clock,
             retry_rng=self._retry_rng,
+            reserved_serial=reserved_serial,
         )
+        if host_attested:
+            session.state = STATE_HOST_ATTESTED
         with (self.telemetry.span("enrollment", vnf=vnf_name,
                                   host=host.name)
               if self.telemetry is not None else nullcontext()):
-            session.attest_host()
+            if not host_attested:
+                session.attest_host()
             session.provision()
             if self.client_validation == VALIDATION_KEYSTORE:
                 # Stock Floodlight: each new credential needs a keystore
                 # entry before the first connection; in CA mode this update
                 # simply never happens (the point of experiment E3).
-                self.keystore.add_trusted(
-                    vnf_name, self.vm.issued_certificate(vnf_name)
-                )
+                with self._keystore_lock:
+                    self.keystore.add_trusted(
+                        vnf_name, self.vm.issued_certificate(vnf_name)
+                    )
             session.connect(self.enclave_client(vnf_name))
         return session
 
+    def enroll(self, vnf_name: str) -> EnrollmentSession:
+        """Run steps 1-6 for one VNF; returns the completed session."""
+        return self._enroll_vnf(vnf_name)
+
+    def _enrollment_result(self, vnf_name: str,
+                          enroll: Callable[[], EnrollmentSession]
+                          ) -> FleetResult:
+        """Run ``enroll`` for one VNF of a workflow or fleet run and
+        report it, recording a failure instead of raising.
+
+        A failure is written here once for both runs: the
+        ``"ExceptionType: message"`` string, one increment of
+        ``vnf_sgx_workflow_vnf_failures_total`` and a
+        ``vnf-enrollment-failed`` event on the current span.
+        """
+        host_name = self.vnf_host[vnf_name].name
+        try:
+            session = enroll()
+        except ReproError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            tel = self.telemetry
+            if tel is not None:
+                tel.workflow_vnf_failures.inc()
+                span = tel.tracer.current_span()
+                if span is not None:
+                    span.add_event("vnf-enrollment-failed",
+                                   timestamp=tel.now(), vnf=vnf_name,
+                                   error=error)
+            return FleetResult(vnf_name=vnf_name, host_name=host_name,
+                               state=STATE_FAILED, error=error)
+        return FleetResult(
+            vnf_name=vnf_name, host_name=host_name, state=session.state,
+            certificate_serial=session.certificate_serial,
+            timings=list(session.timings),
+        )
+
     def enroll_fleet(self, vnf_names: Optional[List[str]] = None,
                      workers: int = 4,
-                     retry_policy: Optional[RetryPolicy] = None,
-                     pooled_ias: bool = True):
+                     retry_policy: Optional[RetryPolicy] = None
+                     ) -> WorkflowTrace:
         """Enroll many VNFs across a bounded worker pool.
 
         The pooled path amortizes what the serial loop repeats per VNF:
@@ -641,53 +754,48 @@ class Deployment:
         per-VNF DRBGs, so the issued certificates are byte-identical to
         a serial :meth:`enroll` loop's (experiment E12 asserts this).
 
-        Returns a :class:`repro.core.fleet.FleetReport` with
-        partial-failure semantics mirroring :meth:`run_workflow`.
+        Returns a :class:`WorkflowTrace` with the same partial-failure
+        semantics as :meth:`run_workflow`.
         """
         from repro.core.fleet import FleetScheduler
 
-        scheduler = FleetScheduler(
-            self, workers=workers, retry_policy=retry_policy,
-            pooled_ias=pooled_ias,
-        )
+        scheduler = FleetScheduler(self, workers=workers,
+                                   retry_policy=retry_policy)
         return scheduler.enroll(vnf_names)
 
-    def run_workflow(self) -> WorkflowTrace:
-        """Execute the full Figure 1 workflow for every VNF.
-
-        Partial-failure semantics: one VNF whose enrollment fails (host
-        down, IAS outage outlasting the retry budget, appraisal
-        rejection, ...) is recorded in :attr:`WorkflowTrace.failed` and
-        the fleet run continues — it does not abort the deployment.
-        Per-VNF enrollment is delegated to :meth:`enroll`, so a single
-        enrollment and a fleet run take exactly the same code path.
-        """
-        tel = self.telemetry
-        trace = WorkflowTrace()
+    @contextmanager
+    def _measuring(self, trace: WorkflowTrace) -> Iterator[None]:
+        """Record the body's simulated and wall time and its per-account
+        clock charges as ``trace``'s totals."""
         sim_start = self.clock.now()
         wall_start = time.perf_counter()
         self.clock.reset_charges()
-        with (tel.span("figure1-workflow", vnfs=len(self.vnf_names))
-              if tel is not None else nullcontext()):
-            for vnf_name in self.vnf_names:
-                try:
-                    session = self.enroll(vnf_name)
-                except ReproError as exc:
-                    trace.failed[vnf_name] = f"{type(exc).__name__}: {exc}"
-                    if tel is not None:
-                        tel.workflow_vnf_failures.inc()
-                        span = tel.tracer.current_span()
-                        if span is not None:
-                            span.add_event(
-                                "vnf-enrollment-failed",
-                                timestamp=tel.now(), vnf=vnf_name,
-                                error=trace.failed[vnf_name],
-                            )
-                else:
-                    trace.per_vnf[vnf_name] = list(session.timings)
-        if tel is not None:
-            tel.workflows.inc()
-        trace.simulated_seconds = self.clock.now() - sim_start
-        trace.wall_seconds = time.perf_counter() - wall_start
-        trace.clock_charges = self.clock.charges()
+        try:
+            yield
+        finally:
+            trace.simulated_seconds = self.clock.now() - sim_start
+            trace.wall_seconds = time.perf_counter() - wall_start
+            trace.clock_charges = self.clock.charges()
+
+    def run_workflow(self) -> WorkflowTrace:
+        """Execute the full Figure 1 workflow for every VNF, serially.
+
+        Each VNF runs the same routine as :meth:`enroll`, so each
+        attests its host itself (E1 reports that step per VNF).  A VNF
+        whose enrollment fails (host down, IAS outage outlasting the
+        retry budget, appraisal rejection, ...) is recorded in
+        :attr:`WorkflowTrace.failed` and the run continues — it does not
+        abort the deployment.
+        """
+        tel = self.telemetry
+        trace = WorkflowTrace()
+        with self._measuring(trace):
+            with (tel.span("figure1-workflow", vnfs=len(self.vnf_names))
+                  if tel is not None else nullcontext()):
+                for vnf_name in self.vnf_names:
+                    trace.results[vnf_name] = self._enrollment_result(
+                        vnf_name, partial(self._enroll_vnf, vnf_name)
+                    )
+            if tel is not None:
+                tel.workflows.inc()
         return trace

@@ -159,8 +159,8 @@ class Telemetry:
         )
         self.workflow_vnf_failures = r.counter(
             M_WORKFLOW_VNF_FAILURES,
-            "VNFs whose enrollment failed during a workflow run "
-            "(recorded in WorkflowTrace.failed, fleet continues)",
+            "VNFs whose enrollment failed during a workflow or fleet "
+            "run (recorded in WorkflowTrace.failed, the run continues)",
         )
         self.verification_cache_events = r.counter(
             M_VERIFICATION_CACHE,

@@ -15,9 +15,9 @@ relies on.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Tuple
+from typing import Any, List, Tuple, Type
 
-from repro.errors import EncodingError
+from repro.errors import EncodingError, ReproError
 
 TAG_INT = 0x02
 TAG_BYTES = 0x04
@@ -104,7 +104,45 @@ def _decode_one(data: bytes, offset: int) -> Tuple[Any, int]:
 
 def decode(data: bytes) -> Any:
     """Decode a single encoded value; rejects trailing garbage."""
-    value, consumed = _decode_one(data, 0)
+    try:
+        value, consumed = _decode_one(data, 0)
+    except RecursionError as exc:
+        # A few kilobytes of nested sequence headers outrun the stack.
+        raise EncodingError("sequences nested too deeply") from exc
     if consumed != len(data):
         raise EncodingError(f"{len(data) - consumed} trailing bytes after TLV")
     return value
+
+
+def _fits(value: Any, shape: Any) -> bool:
+    if isinstance(shape, tuple):
+        return (type(value) is list and len(value) == len(shape)
+                and all(_fits(item, kind) for item, kind in zip(value, shape)))
+    if isinstance(shape, list):
+        return type(value) is list and all(_fits(item, shape[0])
+                                           for item in value)
+    return type(value) is shape
+
+
+def decode_record(data: bytes, shape: Tuple[Any, ...],
+                  error: Type[ReproError], what: str) -> List[Any]:
+    """Decode ``data`` as a sequence laid out as ``shape``.
+
+    ``shape`` has one entry per field: a type, matched exactly (a
+    ``bool`` is not an ``int``), a one-element list ``[kind]`` for a
+    sequence of ``kind``, or a nested tuple for a nested record.  Every
+    failure, from truncated bytes to a wrong field count or type,
+    raises the caller's ``error`` as ``"malformed <what>: ..."``, so a
+    decoder fed hostile bytes never leaks a ``ValueError`` or
+    ``TypeError``.
+    """
+    if not isinstance(data, bytes):
+        raise error(f"malformed {what}: expected bytes, "
+                    f"got {type(data).__name__}")
+    try:
+        fields = decode(data)
+    except EncodingError as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+    if not _fits(fields, shape):
+        raise error(f"malformed {what}: wrong field layout")
+    return fields

@@ -28,7 +28,7 @@ from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
 from repro.crypto.hmac import hmac_sha256
 from repro.crypto.rng import HmacDrbg, default_rng
-from repro.errors import CryptoError, EncodingError, InvalidTag, QuoteError
+from repro.errors import CryptoError, InvalidTag, QuoteError
 from repro.pki import der
 
 
@@ -66,14 +66,8 @@ class EpidSignature:
         Raises:
             QuoteError: ``data`` is not a well-formed signature.
         """
-        try:
-            fields = der.decode(data)
-        except EncodingError as exc:
-            raise QuoteError(f"malformed EPID signature: {exc}") from exc
-        if (not isinstance(fields, list) or len(fields) != 6
-                or any(type(value) is not bytes for value in fields)):
-            raise QuoteError("malformed EPID signature: wrong field layout")
-        return cls(*fields)
+        return cls(*der.decode_record(data, (bytes,) * 6, QuoteError,
+                                      "EPID signature"))
 
 
 class EpidGroup:

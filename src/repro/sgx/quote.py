@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.crypto.keys import EcPrivateKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
-from repro.errors import EncodingError, QuoteError
+from repro.errors import QuoteError
 from repro.pki import der
 from repro.sgx.epid import EpidMemberKey, EpidSignature, epid_sign
 from repro.sgx.report import Report
@@ -72,15 +72,8 @@ class Quote:
         Raises:
             QuoteError: ``data`` is not a well-formed quote.
         """
-        try:
-            fields = der.decode(data)
-        except EncodingError as exc:
-            raise QuoteError(f"malformed quote: {exc}") from exc
-        if (not isinstance(fields, list) or len(fields) != len(_FIELD_TYPES)
-                or any(type(value) is not kind
-                       for value, kind in zip(fields, _FIELD_TYPES))):
-            raise QuoteError("malformed quote: wrong field layout")
-        return cls(*fields)
+        return cls(*der.decode_record(data, _FIELD_TYPES, QuoteError,
+                                      "quote"))
 
     def signature(self) -> EpidSignature:
         """The decoded EPID signature."""

@@ -206,21 +206,6 @@ def test_pooled_ias_fresh_connection_fault_still_propagates():
     pool.close()
 
 
-def test_fleet_without_pooling_still_equivalent():
-    """pooled_ias=False keeps the per-verification dialling behaviour
-    but must not change any issued byte."""
-    seed, count = b"fleet-no-pool", 3
-    order = [f"vnf-{i}" for i in range(1, count + 1)]
-    _, serial_certs = _serial_reference(seed, count, order)
-    dep = Deployment(seed=seed, vnf_count=count)
-    report = dep.enroll_fleet(order, workers=2, pooled_ias=False)
-    assert report.fully_succeeded
-    assert report.ias_connects == 0 and report.ias_reused_exchanges == 0
-    certs = {name: dep.vm.issued_certificate(name).to_bytes()
-             for name in order}
-    assert certs == serial_certs
-
-
 def test_fleet_keystore_validation_model():
     """The stock-Floodlight keystore model works under the pool: every
     enrolled VNF lands in the keystore before its first connection."""
@@ -235,15 +220,41 @@ def test_fleet_keystore_validation_model():
         )
 
 
-def test_fleet_report_mirrors_workflow_trace_shape():
-    """FleetReport exposes the WorkflowTrace surface the experiment
-    harness consumes: per_vnf, failed, step_totals."""
-    dep = Deployment(seed=b"fleet-shape", vnf_count=2)
-    report = dep.enroll_fleet(workers=2)
-    assert set(report.per_vnf) == set(dep.vnf_names)
-    assert report.failed == {}
-    totals = report.step_totals()
-    assert any("host-attestation" in step for step in totals)
-    assert any("provisioning" in step for step in totals)
-    assert report.simulated_seconds > 0.0
-    assert report.clock_charges
+def test_workflow_and_fleet_return_one_report():
+    """``run_workflow`` and ``enroll_fleet`` return the same type with the
+    same surface (per_vnf, failed, step_totals, totals), and record a
+    failed VNF the same way: one ``"Type: message"`` string and one
+    increment of ``vnf_sgx_workflow_vnf_failures_total``."""
+    from repro.core import WorkflowTrace
+
+    reports = {}
+    for run in ("serial", "fleet"):
+        dep = Deployment(seed=b"one-report", vnf_count=3)
+        dep.enable_telemetry(serve=False)
+        # vnf-2's enclave disappears (e.g. its container was killed).
+        del dep.agent._credential_enclaves["vnf-2"]
+        report = (dep.run_workflow() if run == "serial"
+                  else dep.enroll_fleet(workers=2))
+        failures = dep.telemetry.workflow_vnf_failures.value
+        dep.disable_telemetry()
+
+        assert type(report) is WorkflowTrace
+        assert list(report.results) == dep.vnf_names
+        assert sorted(report.per_vnf) == ["vnf-1", "vnf-3"]
+        assert not report.fully_succeeded
+        assert not report.results["vnf-2"].succeeded
+        assert failures == 1
+        totals = report.step_totals()
+        assert any("host-attestation" in step for step in totals)
+        assert any("provisioning" in step for step in totals)
+        assert report.simulated_seconds > 0.0
+        assert report.clock_charges
+        reports[run] = report
+
+    assert list(reports["serial"].failed) == ["vnf-2"]
+    assert reports["serial"].failed == reports["fleet"].failed
+    kind, _, message = reports["fleet"].failed["vnf-2"].partition(": ")
+    assert kind.isidentifier() and "vnf-2" in message
+    # The serial loop attests the host per VNF; the fleet once.
+    assert reports["serial"].host_attestations == {}
+    assert set(reports["fleet"].host_attestations) == {"container-host-1"}

@@ -11,6 +11,7 @@ from repro.core.provisioning import (
 )
 from repro.crypto.keys import generate_keypair
 from repro.errors import ProvisioningError
+from repro.pki import der
 
 
 @pytest.fixture
@@ -85,3 +86,64 @@ def test_binding_hash_properties(rng):
     assert binding_hash(pub, b"nonce") != binding_hash(pub, b"other")
     other = generate_keypair(rng).public.to_bytes()
     assert binding_hash(pub, b"nonce") != binding_hash(other, b"nonce")
+
+
+def _valid_wire(bundle):
+    message = ProvisioningMessage(b"\x04" + b"p" * 64, b"n" * 12, b"c" * 48)
+    return {ProvisioningMessage: message.to_bytes(),
+            CredentialBundle: bundle.to_bytes()}
+
+
+MALFORMED = {
+    "empty": lambda wire: b"",
+    "truncated-header": lambda wire: wire[:3],
+    "truncated-body": lambda wire: wire[:-1],
+    "trailing-bytes": lambda wire: wire + b"\x00",
+    "not-a-sequence": lambda wire: der.encode(b"bytes"),
+    "one-field-short": lambda wire: der.encode(der.decode(wire)[:-1]),
+    "one-field-long": lambda wire: der.encode(der.decode(wire) + [b"x"]),
+    "int-field": lambda wire: der.encode([7] + der.decode(wire)[1:]),
+    "int-last-field": lambda wire: der.encode(der.decode(wire)[:-1] + [7]),
+    "bool-field": lambda wire: der.encode([True] + der.decode(wire)[1:]),
+    "not-bytes": lambda wire: 7,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("cls", [ProvisioningMessage, CredentialBundle],
+                         ids=lambda cls: cls.__name__)
+def test_malformed_wire_raises_provisioning_error(cls, kind, bundle):
+    """Both provisioning wire types reject bad bytes with the typed
+    ProvisioningError, never a bare ValueError or TypeError."""
+    data = MALFORMED[kind](_valid_wire(bundle)[cls])
+    with pytest.raises(ProvisioningError, match="malformed"):
+        cls.from_bytes(data)
+
+
+@pytest.mark.parametrize("chain", [[7], [b"leaf", 7]])
+def test_bundle_rejects_non_bytes_chain_entries(bundle, chain):
+    fields = der.decode(bundle.to_bytes())
+    for index in (1, 2):   # certificate chain, controller anchors
+        bad = list(fields)
+        bad[index] = chain
+        with pytest.raises(ProvisioningError, match="wrong field layout"):
+            CredentialBundle.from_bytes(der.encode(bad))
+
+
+def test_deeply_nested_sequence_is_typed():
+    data = b""
+    for _ in range(5000):
+        data = bytes([der.TAG_SEQ]) + len(data).to_bytes(4, "big") + data
+    with pytest.raises(ProvisioningError, match="nested too deeply"):
+        ProvisioningMessage.from_bytes(data)
+
+
+def test_host_agent_answers_malformed_message_with_typed_error():
+    """The network edge: a malformed provisioning message sent to the
+    host agent comes back as a ProvisioningError verdict."""
+    from repro.core import Deployment
+    from repro.errors import VnfSgxError
+
+    deployment = Deployment(seed=b"malformed-provisioning", vnf_count=1)
+    with pytest.raises(VnfSgxError, match="ProvisioningError: malformed"):
+        deployment.agent_client.complete_provisioning("vnf-1", b"\x30\x00")

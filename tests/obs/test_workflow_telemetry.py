@@ -191,3 +191,36 @@ def test_enable_telemetry_is_idempotent():
         assert first is second
     finally:
         deployment.disable_telemetry()
+
+
+def test_fleet_steps_sit_under_enrollment_spans():
+    """Each fleet VNF gets its own ``enrollment`` span, like the serial
+    loop's: no step span is left without one, and the only other roots
+    are the fleet's one host attestation per host."""
+    from repro.core.enrollment import HOST_ATTESTATION_STEP
+
+    deployment = Deployment(seed=b"obs-fleet", vnf_count=4)
+    deployment.enable_telemetry(serve=False)
+    report = deployment.enroll_fleet(workers=2)
+    assert report.fully_succeeded, report.failed
+    roots = deployment.telemetry.tracer.roots()
+    deployment.disable_telemetry()
+
+    steps = {timing.step for timings in report.per_vnf.values()
+             for timing in timings}
+    assert HOST_ATTESTATION_STEP not in steps   # attested single-flight
+    enrollments = [root for root in roots if root.name == "enrollment"]
+    assert sorted(span.attributes["vnf"] for span in enrollments) == sorted(
+        deployment.vnf_names)
+    assert len(roots) <= len(deployment.hosts) + len(deployment.vnf_names)
+
+    def step_spans(span, under_enrollment):
+        inside = under_enrollment or span.name == "enrollment"
+        if span.name in steps:
+            yield span, inside
+        for child in span.children:
+            yield from step_spans(child, inside)
+
+    found = [pair for root in roots for pair in step_spans(root, False)]
+    assert len(found) == len(steps) * len(deployment.vnf_names)
+    assert all(inside for _, inside in found)
